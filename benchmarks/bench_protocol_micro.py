@@ -535,7 +535,7 @@ def _obs_overhead_cluster(variant: str):
         cluster._note_issue = types.MethodType(_pre_obs_note_issue, cluster)
         cluster._apply_ready = types.MethodType(_pre_obs_apply_ready, cluster)
         cluster._apply_batch = types.MethodType(_pre_obs_apply_batch, cluster)
-        transport = cluster.transport
+        transport = cluster.network
         transport.send = types.MethodType(_pre_obs_send, transport)
         transport._flush_channel = types.MethodType(
             _pre_obs_flush_channel, transport)

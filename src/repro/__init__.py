@@ -44,8 +44,8 @@ from .sim import (
     BatchingConfig,
     Cluster,
     EventKernel,
-    SimNetwork,
     SimulationHost,
+    Transport,
     build_cluster,
     poisson_workload,
     run_open_loop,
@@ -80,8 +80,8 @@ __all__ = [
     "MessageBatch",
     "RegisterPlacement",
     "ShareGraph",
-    "SimNetwork",
     "TimestampGraph",
+    "Transport",
     "Update",
     "UpdateMessage",
     "VectorTimestamp",

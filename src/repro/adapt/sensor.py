@@ -110,7 +110,7 @@ class Sensor:
         messages = 0
         timestamp_bytes = 0
         weighted_bound = 0.0
-        for channel, stats in sorted(host.transport.stats.per_channel.items()):
+        for channel, stats in sorted(host.network.stats.per_channel.items()):
             seen_msgs, seen_bytes = self._wire_seen.get(channel, (0, 0))
             d_msgs = stats.messages - seen_msgs
             d_bytes = stats.timestamp_bytes - seen_bytes

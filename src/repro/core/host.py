@@ -316,9 +316,7 @@ class ReplicaHost:
     through the same :meth:`check_consistency` entry point.
 
     Subclasses must implement :meth:`_replica_map` (who owns which replica
-    id), :meth:`submit_operation` (how a client operation addressed to a
-    replica is executed) and the :attr:`now` clock; the optional hooks
-    default to no-ops.
+    id) and the :attr:`now` clock; the optional hooks default to no-ops.
     """
 
     def __init__(self, share_graph: ShareGraph) -> None:
@@ -356,15 +354,6 @@ class ReplicaHost:
     # ------------------------------------------------------------------
     def _replica_map(self) -> Mapping[ReplicaId, CausalReplica]:
         """Replica id → protocol instance (servers, in the client–server case)."""
-        raise NotImplementedError
-
-    def submit_operation(self, operation: "Any") -> Any:
-        """Execute one client operation (a :class:`~repro.sim.workloads.Operation`).
-
-        Every host implements this, which is what lets one workload —
-        closed-loop replay, open-loop arrivals, or a live client stream —
-        drive any deployment.
-        """
         raise NotImplementedError
 
     def _after_delivery(self, replica: CausalReplica) -> None:

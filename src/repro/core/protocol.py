@@ -931,6 +931,11 @@ class CausalReplica(abc.ABC):
         """``True`` iff the update with this id has been applied here."""
         return uid in self._applied_uids
 
+    def holds_update(self, uid: UpdateId) -> bool:
+        """``True`` iff the update is applied or buffered here (the
+        single-uid form of :meth:`known_update_ids`)."""
+        return uid in self._applied_uids or uid in self._pending_uids
+
     def pending_count(self) -> int:
         """Number of buffered, not-yet-applied update messages."""
         return len(self._pending_uids)

@@ -39,12 +39,11 @@ per-channel delivery streams.
 
 from .client import OpenLoopClient
 from .framing import StreamDecoder, encode_frame
-from .node import BatchPolicy, LiveNode, LiveNodeHost, NodeConfig
+from .node import LiveNode, LiveNodeHost, NodeConfig
 from .runtime import LiveCluster, LiveRunResult
 from .wal import ReplicaWAL, WalCheckpoint
 
 __all__ = [
-    "BatchPolicy",
     "LiveCluster",
     "LiveNode",
     "LiveNodeHost",

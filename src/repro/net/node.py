@@ -53,13 +53,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from ..core.errors import ConfigurationError, ReproError
+from ..core.errors import ReproError
 from ..core.host import ReplicaHost
 from ..core.protocol import CausalReplica, UpdateId, UpdateMessage
 from ..core.registers import Register, ReplicaId
 from ..core.replica import EdgeIndexedReplica
 from ..core.share_graph import ShareGraph
-from ..sim.engine import ChannelWireStats, ReliabilityConfig
+from ..sim.engine import BatchingConfig, ChannelWireStats, ReliabilityConfig
 from ..wire.batch import MessageBatch, decode_batch, encode_batch
 from ..wire.channel import ChannelDeltaDecoder, ChannelDeltaEncoder
 from ..wire.primitives import WireFormatError
@@ -84,23 +84,17 @@ def edge_indexed_factory(graph: ShareGraph, replica_id: ReplicaId) -> CausalRepl
     return EdgeIndexedReplica(graph, replica_id)
 
 
-@dataclass(frozen=True)
-class BatchPolicy:
-    """The live analogue of :class:`~repro.sim.engine.BatchingConfig`.
-
-    Same knobs, wall-clock units: a channel's window flushes at
-    ``max_messages`` or after ``max_delay`` *seconds*, whichever first.
-    """
-
-    max_messages: int = 16
-    max_delay: float = 0.002
-    delta_encoding: bool = True
-
-    def __post_init__(self) -> None:
-        if self.max_messages < 1:
-            raise ConfigurationError("batching max_messages must be at least 1")
-        if self.max_delay < 0:
-            raise ConfigurationError("batching max_delay must be non-negative")
+#: Every channel's batching window, in wall-clock units: it flushes at
+#: ``max_messages`` or after ``max_delay`` *seconds*, whichever first.
+BATCHING = BatchingConfig(max_messages=16, max_delay=0.002)
+#: Ack + resend parameters, in seconds (the live reading of the same
+#: contract the simulator's transport enforces in simulated units).
+RELIABILITY = ReliabilityConfig(resend_timeout=1.0, max_retries=8)
+#: Bound of each per-channel send queue (the backpressure limit).
+SEND_QUEUE_LIMIT = 4096
+#: Reconnect backoff in seconds: doubled per failed attempt, up to the max.
+RECONNECT_BACKOFF = 0.05
+RECONNECT_BACKOFF_MAX = 1.0
 
 
 @dataclass(frozen=True)
@@ -123,14 +117,6 @@ class NodeConfig:
     replica_factory: Callable[[ShareGraph, ReplicaId], CausalReplica] = (
         edge_indexed_factory
     )
-    batching: BatchPolicy = field(default_factory=BatchPolicy)
-    #: Ack + resend parameters, in seconds (the live reading of the same
-    #: contract the simulator's transport enforces in simulated units).
-    reliability: ReliabilityConfig = field(
-        default_factory=lambda: ReliabilityConfig(resend_timeout=1.0, max_retries=8)
-    )
-    #: Bound of each per-channel send queue (the backpressure limit).
-    send_queue_limit: int = 4096
     #: Directory for per-replica checkpoint + WAL files; ``None`` runs
     #: diskless (no crash recovery).
     durable_dir: Optional[str] = None
@@ -139,8 +125,6 @@ class NodeConfig:
     #: Wall-clock epoch all host times are measured from (the launcher's
     #: start time, shared by every node so latencies compose).
     clock_origin: float = 0.0
-    reconnect_backoff: float = 0.05
-    reconnect_backoff_max: float = 1.0
     #: Record the message-lifecycle trace (issue/send/wire/deliver/apply
     #: stamps, wall time relative to ``clock_origin``); off by default —
     #: the untraced hot path pays one ``is not None`` check per hook.
@@ -208,19 +192,6 @@ class LiveNodeHost(ReplicaHost):
         finally:
             self._time_override = None
 
-    def submit_operation(self, operation: Any) -> Any:
-        """Execute one workload operation (messages are NOT transported).
-
-        Exists for surface parity with the simulator hosts; the node's
-        async op handler uses :meth:`perform_write` / :meth:`perform_read`
-        directly so it can route the returned messages onto the channels.
-        """
-        if operation.kind == "write":
-            return self.perform_write(operation.register, operation.value)[0]
-        if operation.kind == "read":
-            return self.perform_read(operation.register)
-        raise ConfigurationError(f"unknown operation kind {operation.kind!r}")
-
     def deliver(self, messages: List[UpdateMessage],
                 at: Optional[float] = None):
         """Buffer a received batch and run one apply pass (as the sim does)."""
@@ -280,21 +251,15 @@ class _Tenant:
             self.wal = ReplicaWAL(config.durable_dir, replica_id,
                                   compact_bytes=config.wal_compact_bytes)
         self.recovered = False
-        #: Uids this tenant has seen (applied + pending), for first-receipt
-        #: stream recording; rebuilt from the replica after recovery.
-        self.seen_uids: set = set()
 
     # ------------------------------------------------------------------
     # Wire accounting
     # ------------------------------------------------------------------
     def account_wire(self, channel: Channel, sizes: Any, messages: int) -> None:
         """Book one flushed batch into the per-channel wire statistics."""
-        book = self.wire_stats.setdefault(channel, ChannelWireStats())
-        book.messages += messages
-        book.batches += 1
-        book.header_bytes += sizes.header_bytes
-        book.timestamp_bytes += sizes.timestamp_bytes
-        book.payload_bytes += sizes.payload_bytes
+        self.wire_stats.setdefault(channel, ChannelWireStats()).add(
+            sizes, messages, batches=1
+        )
         self.counters["delta_frames"] += sizes.delta_frames
         self.counters["full_frames"] += sizes.full_frames
 
@@ -415,8 +380,7 @@ class _PeerStream:
         self.node = node
         self.peer = peer
         self.channels: Dict[Channel, _ChannelState] = {}
-        policy = node.config.batching
-        self.encoder = ChannelDeltaEncoder() if policy.delta_encoding else None
+        self.encoder = ChannelDeltaEncoder()
         #: Channels with queued messages, in arrival order (dict-as-ordered-set).
         self._dirty: Dict[Channel, None] = {}
         self._wake = asyncio.Event()
@@ -425,7 +389,7 @@ class _PeerStream:
     def channel_state(self, channel: Channel) -> _ChannelState:
         state = self.channels.get(channel)
         if state is None:
-            state = _ChannelState(channel, self.node.config.send_queue_limit)
+            state = _ChannelState(channel, SEND_QUEUE_LIMIT)
             self.channels[channel] = state
         return state
 
@@ -460,7 +424,7 @@ class _PeerStream:
     # The stream task
     # ------------------------------------------------------------------
     async def run(self) -> None:
-        backoff = self.node.config.reconnect_backoff
+        backoff = RECONNECT_BACKOFF
         while not self.node.stopping.is_set():
             address = self.node.addresses.get(self.peer)
             if address is None:
@@ -470,16 +434,15 @@ class _PeerStream:
                 reader, writer = await asyncio.open_connection(*address)
             except OSError:
                 await asyncio.sleep(backoff)
-                backoff = min(backoff * 2, self.node.config.reconnect_backoff_max)
+                backoff = min(backoff * 2, RECONNECT_BACKOFF_MAX)
                 continue
-            backoff = self.node.config.reconnect_backoff
+            backoff = RECONNECT_BACKOFF
             self.connected = True
             # A fresh connection is a fresh byte stream: every channel's
             # delta chain and batch sequence restart, exactly like a
             # post-crash sim epoch — one reset covers all chains because
             # the encoder keys them per channel.
-            if self.encoder is not None:
-                self.encoder.reset()
+            self.encoder.reset()
             for state in self.channels.values():
                 state.seq = 0
             reply_task = asyncio.create_task(self._read_replies(reader))
@@ -508,8 +471,13 @@ class _PeerStream:
                     pass
 
     async def _send_loop(self, writer: asyncio.StreamWriter) -> None:
-        policy = self.node.config.batching
-        open_windows: Dict[Channel, _ChannelState] = {}
+        # Windows still filled when the previous connection died hold
+        # messages that are neither queued nor outstanding: adopt them, or
+        # their (long past) deadlines never fire.
+        open_windows: Dict[Channel, _ChannelState] = {
+            channel: state for channel, state in self.channels.items()
+            if state.window
+        }
         while True:
             stopping = self.node.stopping.is_set()
             # Pull queued messages into their channel windows; a full
@@ -524,10 +492,10 @@ class _PeerStream:
                     except asyncio.QueueEmpty:
                         break
                     if not state.window:
-                        state.deadline = time.monotonic() + policy.max_delay
+                        state.deadline = time.monotonic() + BATCHING.max_delay
                         open_windows[channel] = state
                     state.window.append(message)
-                    if len(state.window) >= policy.max_messages:
+                    if len(state.window) >= BATCHING.max_messages:
                         await self._flush(writer, state)
                         open_windows.pop(channel, None)
             # Flush expired (or closing) windows.
@@ -626,14 +594,13 @@ class _PeerStream:
 
     def retransmit_due(self) -> None:
         """Re-offer every outstanding message older than the resend timeout."""
-        config = self.node.config.reliability
         now = time.time()
         for state in self.channels.values():
             for uid in list(state.outstanding):
                 message, sent_at, attempts = state.outstanding[uid]
-                if now - sent_at < config.resend_timeout:
+                if now - sent_at < RELIABILITY.resend_timeout:
                     continue
-                if attempts > config.max_retries:
+                if attempts > RELIABILITY.max_retries:
                     # Resend timers give up; the SYNC exchange on the next
                     # reconnect is the recovery of last resort.
                     continue
@@ -684,8 +651,6 @@ class LiveNode:
     # ------------------------------------------------------------------
     def _recover(self) -> None:
         if not self.config.durable_dir:
-            for tenant in self.tenants.values():
-                tenant.seen_uids = set(tenant.replica.known_update_ids())
             return
         for rid in sorted(self.tenants, key=_id_order):
             self._recover_tenant(self.tenants[rid])
@@ -715,7 +680,6 @@ class LiveNode:
             tenant.streams = checkpoint.streams
             tenant.apply_times = checkpoint.apply_times
             tenant.host._issue_times.update(checkpoint.issue_times)
-        tenant.seen_uids = set(tenant.replica.known_update_ids())
         if checkpoint is not None or records:
             tenant.recovered = True
         for kind, payload in records:
@@ -763,14 +727,18 @@ class LiveNode:
         if received_at is None:
             received_at = self.now
         counters = tenant.counters
+        replica = tenant.replica
         fresh: List[UpdateMessage] = []
+        # Uids first received in this call: the replica buffers them only
+        # after the loop, so repeats inside one batch are caught here.
+        fresh_uids: set = set()
         for message in messages:
             uid = message.update.uid
             counters["received"] += 1
-            if uid in tenant.seen_uids:
+            if uid in fresh_uids or replica.holds_update(uid):
                 counters["duplicates"] += 1
                 continue
-            tenant.seen_uids.add(uid)
+            fresh_uids.add(uid)
             tenant.streams.setdefault(channel, []).append(uid)
             counters["delivered"] += 1
             fresh.append(message)
@@ -872,7 +840,7 @@ class LiveNode:
         return stream
 
     async def _retransmit_loop(self) -> None:
-        interval = max(self.config.reliability.resend_timeout / 2, 0.05)
+        interval = max(RELIABILITY.resend_timeout / 2, 0.05)
         while not self.stopping.is_set():
             await asyncio.sleep(interval)
             for stream in self.peer_streams.values():
@@ -1027,10 +995,7 @@ class LiveNode:
             state["peer"] = peer
             # One decoder per inbound connection: its delta chains are
             # keyed by channel, mirroring the sender's stream encoder.
-            state["decoder"] = (
-                ChannelDeltaDecoder() if self.config.batching.delta_encoding
-                else None
-            )
+            state["decoder"] = ChannelDeltaDecoder()
             # The peer listens on the host it dialled from, at the port it
             # announced — so a restarted peer's new address propagates with
             # its first frame.

@@ -60,13 +60,11 @@ from ..core.host import LatencySummary, RunMetrics
 from ..core.protocol import ReplicaEvent, UpdateId
 from ..core.registers import Register, ReplicaId
 from ..core.share_graph import ShareGraph
-from ..sim.engine import ReliabilityConfig
 from ..wire.primitives import WireFormatError
 from . import frames
 from .framing import StreamDecoder, encode_frame
 from .node import (
     Address,
-    BatchPolicy,
     Channel,
     NodeConfig,
     NodeId,
@@ -455,9 +453,6 @@ class LiveCluster:
         Protocol family per replica (default: the paper's edge-indexed
         algorithm).  Must be a picklable module-level callable (the spawn
         start method ships it to the child).
-    batching, reliability:
-        Wire-layer knobs forwarded to every node (seconds, not simulated
-        units).
     durable_dir:
         Directory for per-replica checkpoint + WAL files; required for
         :meth:`kill`/:meth:`restart` recovery.  ``None`` runs diskless.
@@ -484,8 +479,6 @@ class LiveCluster:
         self,
         share_graph: ShareGraph,
         replica_factory: Callable = edge_indexed_factory,
-        batching: Optional[BatchPolicy] = None,
-        reliability: Optional[ReliabilityConfig] = None,
         durable_dir: Optional[str] = None,
         listen_host: str = "127.0.0.1",
         tracing: bool = False,
@@ -510,10 +503,6 @@ class LiveCluster:
         self._restarts = 0
         self._down_since: Dict[ReplicaId, float] = {}
         self._downtime: Dict[ReplicaId, List[Tuple[float, float]]] = {}
-        batching = batching or BatchPolicy()
-        reliability = reliability or ReliabilityConfig(
-            resend_timeout=1.0, max_retries=8
-        )
         if durable_dir is not None:
             os.makedirs(durable_dir, exist_ok=True)
         self.placement = self._resolve_placement(nodes, placement)
@@ -531,8 +520,6 @@ class LiveCluster:
                 replica_nodes=dict(self._replica_node),
                 listen_host=listen_host,
                 replica_factory=replica_factory,
-                batching=batching,
-                reliability=reliability,
                 durable_dir=durable_dir,
                 wal_compact_bytes=wal_compact_bytes,
                 clock_origin=self.clock_origin,

@@ -22,19 +22,15 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional
 
 from ..core.errors import ConfigurationError
-from ..core.protocol import CausalReplica, Update, UpdateMessage
+from ..core.protocol import CausalReplica, Update
 from ..core.registers import Register, ReplicaId
 from ..core.replica import EdgeIndexedReplica
 from ..core.share_graph import ShareGraph
 from .delays import DelayModel
-from .engine import BatchingConfig, RunMetrics, SimulationHost
-from .network import SimNetwork
+from .engine import BatchingConfig, SimulationHost
 
 #: Signature of a factory building one replica of a protocol for a cluster.
 ReplicaFactory = Callable[[ShareGraph, ReplicaId], CausalReplica]
-
-#: Backwards-compatible name for the unified metrics structure.
-ClusterMetrics = RunMetrics
 
 
 def edge_indexed_factory(graph: ShareGraph, replica_id: ReplicaId) -> CausalReplica:
@@ -53,7 +49,7 @@ class Cluster(SimulationHost):
         Builds the protocol instance per replica; defaults to the paper's
         edge-indexed algorithm.
     delay_model, seed, batching, wire_accounting:
-        Forwarded to the :class:`~repro.sim.network.SimNetwork`.
+        Forwarded to the :class:`~repro.sim.engine.SimulationHost`.
     """
 
     def __init__(
@@ -67,24 +63,15 @@ class Cluster(SimulationHost):
     ) -> None:
         super().__init__(
             share_graph,
-            SimNetwork(
-                delay_model=delay_model,
-                seed=seed,
-                batching=batching,
-                wire_accounting=wire_accounting,
-            ),
+            delay_model=delay_model,
+            seed=seed,
+            batching=batching,
+            wire_accounting=wire_accounting,
         )
         self.replica_factory = replica_factory
         self.replicas: Dict[ReplicaId, CausalReplica] = {
             rid: replica_factory(share_graph, rid) for rid in share_graph.replica_ids
         }
-        # Each replica family registers its timestamp codec; the transport's
-        # byte accounting resolves a message's codec through its sender.
-        self.transport.set_codec_resolver(self._codec_for_message)
-
-    def _codec_for_message(self, message: UpdateMessage) -> Any:
-        replica = self.replicas.get(message.sender)
-        return replica.wire_codec() if replica is not None else None
 
     def _replica_map(self) -> Dict[ReplicaId, CausalReplica]:
         return self.replicas

@@ -253,17 +253,9 @@ class EventKernel:
         """Scheduled events of one type (linear scan; for tests/metrics)."""
         return sum(1 for entry in self._heap if isinstance(entry[3], event_type))
 
-    def events_of(self, event_type: Type) -> List[Event]:
-        """Scheduled events of one type, in heap (not firing) order."""
-        return [entry[3] for entry in self._heap if isinstance(entry[3], event_type)]
-
     def peek_time(self) -> Optional[float]:
         """The firing time of the next event, or ``None`` when idle."""
         return self._heap[0][0] if self._heap else None
-
-    def peek_event(self) -> Optional[Event]:
-        """The next event without popping it, or ``None`` when idle."""
-        return self._heap[0][3] if self._heap else None
 
     def extract(self, predicate: Callable[[Event], bool]) -> List[Event]:
         """Remove every scheduled event matching ``predicate`` from the queue.
@@ -318,6 +310,14 @@ class ChannelWireStats:
     def total_bytes(self) -> int:
         """All bytes put on this channel."""
         return self.header_bytes + self.timestamp_bytes + self.payload_bytes
+
+    def add(self, sizes: WireSizes, messages: int, batches: int = 0) -> None:
+        """Fold one encoded frame/envelope into this channel's book."""
+        self.messages += messages
+        self.batches += batches
+        self.header_bytes += sizes.header_bytes
+        self.timestamp_bytes += sizes.timestamp_bytes
+        self.payload_bytes += sizes.payload_bytes
 
 
 @dataclass
@@ -393,12 +393,9 @@ class NetworkStats:
         self.timestamp_bytes_full += sizes.timestamp_bytes_full
         self.delta_frames_sent += sizes.delta_frames
         self.full_frames_sent += sizes.full_frames
-        per_channel = self.per_channel.setdefault(channel, ChannelWireStats())
-        per_channel.messages += messages
-        per_channel.batches += batches
-        per_channel.header_bytes += sizes.header_bytes
-        per_channel.timestamp_bytes += sizes.timestamp_bytes
-        per_channel.payload_bytes += sizes.payload_bytes
+        self.per_channel.setdefault(channel, ChannelWireStats()).add(
+            sizes, messages, batches
+        )
 
 
 @dataclass(frozen=True)
@@ -414,15 +411,17 @@ class BatchingConfig:
 
     Batched channels behave like one FIFO byte stream per channel (batches
     on a channel never overtake each other), which is what makes the
-    cross-batch timestamp delta encoding (``delta_encoding=True``) sound.
-    Enabling batching implies wire accounting: every flush is encoded
-    through :mod:`repro.wire` and booked into :class:`NetworkStats` in real
-    bytes.
+    cross-batch timestamp delta encoding sound: every flushed frame is
+    delta-encoded against the channel's previous one.  Enabling batching
+    implies wire accounting: every flush is encoded through
+    :mod:`repro.wire` and booked into :class:`NetworkStats` in real bytes.
+
+    The simulator reads ``max_delay`` in kernel time units; the live
+    runtime (:mod:`repro.net.node`) reads it in wall-clock seconds.
     """
 
     max_messages: int = 16
     max_delay: float = 1.0
-    delta_encoding: bool = True
 
     def __post_init__(self) -> None:
         if self.max_messages < 1:
@@ -469,6 +468,8 @@ class Transport:
       (:meth:`enable_reliability`) restoring at-least-once delivery;
     * a durable per-destination sent-log (:meth:`enable_sent_log`) supports
       the crash-recovery anti-entropy exchange (:meth:`resync`).
+
+    Every :class:`SimulationHost` owns exactly one, as ``host.network``.
     """
 
     def __init__(
@@ -501,7 +502,8 @@ class Transport:
         # -- wire layer ------------------------------------------------
         self._batching: Optional[BatchingConfig] = None
         self._wire_accounting: bool = False
-        self._delta_encoder: Optional[ChannelDeltaEncoder] = None
+        #: Per-channel timestamp delta chains of the batched streams.
+        self._delta_encoder = ChannelDeltaEncoder()
         #: Resolves a message to its family codec via the sending replica;
         #: installed by the host once the replicas exist.
         self._codec_resolver: Optional[Callable[[UpdateMessage], Any]] = None
@@ -537,23 +539,16 @@ class Transport:
         """
         self._wire_accounting = True
 
-    def enable_batching(self, config: Optional[BatchingConfig] = None) -> None:
+    def enable_batching(self, config: BatchingConfig) -> None:
         """Turn on per-channel batching windows (implies wire accounting)."""
-        self._batching = config or BatchingConfig()
+        self._batching = config
         self._wire_accounting = True
-        if self._batching.delta_encoding and self._delta_encoder is None:
-            self._delta_encoder = ChannelDeltaEncoder()
 
     def set_codec_resolver(
         self, resolver: Optional[Callable[[UpdateMessage], Any]]
     ) -> None:
         """Install the message → family-codec resolver (host-provided)."""
         self._codec_resolver = resolver
-
-    @property
-    def batching(self) -> Optional[BatchingConfig]:
-        """The active batching configuration, or ``None``."""
-        return self._batching
 
     def _codec_for(self, message: UpdateMessage) -> Any:
         if self._codec_resolver is None:
@@ -698,7 +693,7 @@ class Transport:
         self._transmit_batch(batch, sent_times, sent_at=self.kernel.now, epoch=epoch)
 
     def flush_open_batches(self) -> None:
-        """Force-flush every open window (tests and explicit shutdown)."""
+        """Force-flush every open window (epoch boundary)."""
         for channel in list(self._open_batches):
             self._flush_channel(channel)
 
@@ -723,8 +718,7 @@ class Transport:
             # cannot have — every delivered delta frame stays decodable.
             self.stats.batches_dropped += 1
             self.stats.messages_dropped += len(batch.messages)
-            if self._delta_encoder is not None:
-                self._delta_encoder.reset(batch.channel)
+            self._delta_encoder.reset(batch.channel)
             return
         if copies > 1:
             self.stats.messages_duplicated += (copies - 1) * len(batch.messages)
@@ -862,8 +856,7 @@ class Transport:
 
     def _sever_channel(self, channel: Channel) -> None:
         self._channel_epoch[channel] = self._channel_epoch.get(channel, 0) + 1
-        if self._delta_encoder is not None:
-            self._delta_encoder.reset(channel)
+        self._delta_encoder.reset(channel)
 
     def sever_streams(self, replica_id: ReplicaId) -> None:
         """Sever the batched streams broken by a replica crash.
@@ -884,7 +877,7 @@ class Transport:
         for channel in set(self._batch_seq) | set(self._open_batches):
             if channel[1] == replica_id:
                 self._sever_channel(channel)
-            elif channel[0] == replica_id and self._delta_encoder is not None:
+            elif channel[0] == replica_id:
                 self._delta_encoder.reset(channel)
 
     def batch_is_stale(self, event: BatchDeliveryEvent) -> bool:
@@ -934,8 +927,7 @@ class Transport:
         indexed by the retired configuration's edges; the next frame on
         every channel must go full.
         """
-        if self._delta_encoder is not None:
-            self._delta_encoder.reset()
+        self._delta_encoder.reset()
 
     def forget_replica(self, replica_id: ReplicaId) -> None:
         """Garbage-collect all per-replica transport state (a *leave*).
@@ -964,9 +956,8 @@ class Transport:
         ):
             for channel in [c for c in book if replica_id in c]:
                 del book[channel]
-        if self._delta_encoder is not None:
-            for channel in stale_channels:
-                self._delta_encoder.reset(channel)
+        for channel in stale_channels:
+            self._delta_encoder.reset(channel)
 
     def note_stale_batch(self, event: BatchDeliveryEvent) -> None:
         """Discard a batch whose stream was severed while it was in flight.
@@ -1160,16 +1151,42 @@ class SimulationHost(ReplicaHost):
     ----------
     share_graph:
         The register placement / share graph of the system.
-    network:
-        The :class:`~repro.sim.network.SimNetwork` facade bundling the
-        event kernel and the transport (built by the concrete cluster).
+    delay_model:
+        Assigns a latency to every message (default: ``UniformDelay(1, 10)``).
+    seed:
+        Seed for the transport's private random generator; two hosts built
+        with the same seed and fed the same operations behave identically.
+    batching:
+        Optionally a :class:`BatchingConfig`: messages then ride
+        per-channel batching windows delivered as single kernel events,
+        with the wire-format byte accounting implied (see the
+        ``repro.wire`` package).
+    wire_accounting:
+        Book every sent message into byte-accurate :class:`NetworkStats`
+        even without batching.
+
+    The host owns one :class:`EventKernel` (``kernel``) and one
+    :class:`Transport` over it (``network``).
     """
 
-    def __init__(self, share_graph: ShareGraph, network: "Any") -> None:
+    def __init__(
+        self,
+        share_graph: ShareGraph,
+        delay_model: Optional[DelayModel] = None,
+        seed: int = 0,
+        batching: Optional[BatchingConfig] = None,
+        wire_accounting: bool = False,
+    ) -> None:
         super().__init__(share_graph)
-        self.network = network
-        self.kernel: EventKernel = network.kernel
-        self.transport: Transport = network.transport
+        self.kernel = EventKernel()
+        self.network = Transport(self.kernel, delay_model=delay_model, seed=seed)
+        if batching is not None:
+            self.network.enable_batching(batching)
+        elif wire_accounting:
+            self.network.enable_wire_accounting()
+        # Each replica family registers its timestamp codec; the byte
+        # accounting resolves a message's codec through its sender.
+        self.network.set_codec_resolver(self._codec_for_message)
         #: Time of the last delivery/arrival processed (timers excluded), so
         #: a trailing metrics sampler does not inflate reported makespans.
         self.last_activity_time: float = 0.0
@@ -1187,6 +1204,19 @@ class SimulationHost(ReplicaHost):
         """Current simulated time."""
         return self.kernel.now
 
+    def submit_operation(self, operation: "Any") -> Any:
+        """Execute one client operation (a :class:`~repro.sim.workloads.Operation`).
+
+        Every simulated host implements this, which is what lets one
+        workload — closed-loop replay or open-loop arrivals — drive either
+        architecture.
+        """
+        raise NotImplementedError
+
+    def _codec_for_message(self, message: UpdateMessage) -> Any:
+        replica = self._replica_map().get(message.sender)
+        return replica.wire_codec() if replica is not None else None
+
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
@@ -1202,7 +1232,7 @@ class SimulationHost(ReplicaHost):
             from ..obs.trace import TraceRecorder
             recorder = TraceRecorder()
         self.tracer = recorder
-        self.transport.tracer = recorder
+        self.network.tracer = recorder
         return recorder
 
     # ------------------------------------------------------------------
@@ -1267,22 +1297,22 @@ class SimulationHost(ReplicaHost):
             if self.replica_down(event.message.destination):
                 # The destination is crashed: the delivery is lost (it is
                 # re-sent by the retransmission layer or the restart resync).
-                self.transport.note_lost_delivery(event)
+                self.network.note_lost_delivery(event)
             else:
-                self.transport.record_delivery(event, firing.time)
+                self.network.record_delivery(event, firing.time)
                 self._deliver(event.message)
         elif isinstance(event, BatchDeliveryEvent):
             self.last_activity_time = firing.time
             if self.replica_down(event.batch.destination):
                 # The whole envelope is lost with its crashed destination;
                 # retransmission/resync recover the contents.
-                self.transport.note_lost_batch(event)
-            elif self.transport.batch_is_stale(event):
+                self.network.note_lost_batch(event)
+            elif self.network.batch_is_stale(event):
                 # The stream was severed (crash) while this batch was in
                 # flight; it dies like a broken connection's data.
-                self.transport.note_stale_batch(event)
+                self.network.note_stale_batch(event)
             else:
-                self.transport.record_batch_delivery(event, firing.time)
+                self.network.record_batch_delivery(event, firing.time)
                 self._deliver_batch(event.batch)
         elif isinstance(event, TimerEvent):
             event.callback(self, firing.time)
@@ -1309,7 +1339,7 @@ class SimulationHost(ReplicaHost):
         """
         if message.epoch == self.epoch:
             return True
-        self.transport.stats.messages_rejected_stale_epoch += 1
+        self.network.stats.messages_rejected_stale_epoch += 1
         return False
 
     def _deliver(self, message: UpdateMessage) -> None:
@@ -1398,4 +1428,4 @@ class SimulationHost(ReplicaHost):
     # ------------------------------------------------------------------
     def total_metadata_counters_sent(self) -> int:
         """Total counters shipped inside update messages so far."""
-        return self.transport.stats.metadata_counters_sent
+        return self.network.stats.metadata_counters_sent

@@ -111,7 +111,7 @@ class RecordingCluster(Cluster):
         self._seen: set = set()
 
     def _note_receipt(self, channel: Channel, uid: UpdateId) -> None:
-        # Dedup per *destination*, matching the live node's seen_uids: a
+        # Dedup per *destination*, matching the live node's first-receipt check: a
         # multicast update (replication factor ≥ 3) is a first receipt at
         # every destination, but a retransmitted copy at one destination
         # is not.

@@ -260,7 +260,7 @@ class TestCrashRecovery:
         graph = path_graph()
         cluster = build_cluster(graph, seed=0)  # no injector → no sent log
         with pytest.raises(SimulationError):
-            cluster.transport.resync(1, set())
+            cluster.network.resync(1, set())
 
     def test_finalize_downtime_and_availability(self):
         graph = path_graph()

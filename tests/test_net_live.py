@@ -9,11 +9,15 @@ consistent, state-agreed execution.
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
+from repro.core.replica import EdgeIndexedReplica
 from repro.core.share_graph import ShareGraph
-from repro.net import LiveCluster
+from repro.net import LiveCluster, LiveNode, NodeConfig
 from repro.net.client import OpenLoopClient
+from repro.net.node import _PeerStream
 from repro.net.runtime import LiveRuntimeError
 from repro.sim.topologies import pairwise_clique_placement
 from repro.sim.workloads import single_writer_workload
@@ -343,3 +347,83 @@ class TestLiveBasics:
             # retransmission timers did.
             assert counters["delivered"] == counters["received"] - counters["duplicates"]
             assert report["duplicates_ignored"] <= counters["duplicates"]
+
+
+class TestDeliverDedup:
+    """First-receipt bookkeeping asks the replica, not a node-side uid set."""
+
+    def test_repeats_and_applied_uids_count_as_duplicates(self):
+        graph = _graph()
+        node = LiveNode(NodeConfig(node_id=2, share_graph=graph, replica_ids=(2,)))
+        tenant = node.tenants[2]
+        channel = (1, 2)
+        (register,) = sorted(graph.shared_registers(1, 2))
+        writer = EdgeIndexedReplica(graph, 1)
+        first, second = (
+            next(m for m in writer.write(register, value) if m.destination == 2)
+            for value in ("a", "b")
+        )
+        node._deliver(tenant, channel, [first])
+        assert tenant.replica.has_applied(first.update.uid)
+
+        # One uid twice in a batch, plus one the replica already applied.
+        fresh = node._deliver(tenant, channel, [second, second, first])
+
+        assert fresh == [second]
+        counters = tenant.counters
+        assert counters["duplicates"] == 2
+        assert counters["delivered"] == counters["received"] - counters["duplicates"]
+        assert tenant.streams[channel] == [first.update.uid, second.update.uid]
+
+
+class _Writer:
+    """A stream writer stand-in; ``fail`` makes every drain a dead socket."""
+
+    def __init__(self, fail: bool) -> None:
+        self.fail = fail
+        self.frames = []
+
+    def write(self, data: bytes) -> None:
+        self.frames.append(data)
+
+    async def drain(self) -> None:
+        if self.fail:
+            raise ConnectionResetError
+
+
+class TestPeerStreamReconnect:
+    def test_windows_open_when_the_connection_died_flush_on_the_next(self):
+        """A connection that dies mid-flush leaves other channels' windows
+        filled; the next connection's send loop must flush them, or their
+        messages (neither queued nor outstanding) are stranded for good."""
+        graph = _graph()
+        node = LiveNode(NodeConfig(
+            node_id="a", share_graph=graph, replica_ids=(1, 2),
+            replica_nodes={1: "a", 2: "a", 3: "b", 4: "b"},
+        ))
+
+        def message(src, dst):
+            (register,) = sorted(graph.shared_registers(src, dst))
+            (copy,) = node.tenants[src].replica.write(register, "v")
+            return copy
+
+        async def scenario():
+            stream = _PeerStream(node, "b")
+            await stream.enqueue(message(1, 3))
+            await stream.enqueue(message(2, 4))
+            with pytest.raises(ConnectionResetError):
+                await stream._send_loop(_Writer(fail=True))
+            # The first deadline flush hit the dead socket: channel (1, 3)
+            # is outstanding, channel (2, 4) still sits in its window.
+            assert stream.channels[(1, 3)].outstanding
+            assert stream.channels[(2, 4)].window
+            node.stopping.set()
+            writer = _Writer(fail=False)
+            await stream._send_loop(writer)
+            return stream, writer
+
+        stream, writer = asyncio.run(scenario())
+        state = stream.channels[(2, 4)]
+        assert not state.window
+        assert len(state.outstanding) == 1
+        assert len(writer.frames) == 1
